@@ -16,13 +16,17 @@ import org.apache.spark.sql.functions._
   */
 object ShadowNodes {
 
-  /** `maxOutAfterSplit` is the max out-degree after the hub split but before
-    * in-edge duplication (copies for edges *into* other hubs legitimately
-    * inflate sender out-degrees afterwards — the overhead the paper
-    * acknowledges); it is the quantity the threshold bounds.
+  /** The transformed tables plus report-only counts, which run their Spark
+    * jobs on first access. `maxOutAfterSplit` is the max out-degree after the
+    * hub split but before in-edge duplication (copies for edges *into* other
+    * hubs legitimately inflate sender out-degrees afterwards — the overhead
+    * the paper acknowledges); it is the quantity the threshold bounds.
     */
-  final case class Shadowed(nodes: DataFrame, edges: DataFrame, nMirrors: Long, nHubs: Long,
-                            maxOutAfterSplit: Long)
+  final class Shadowed(val nodes: DataFrame, val edges: DataFrame, val nHubs: Long,
+                       mirrorCount: => Long, maxOut: => Long) {
+    lazy val nMirrors: Long = mirrorCount
+    lazy val maxOutAfterSplit: Long = maxOut
+  }
 
   /** Hub threshold heuristic from the paper: λ · |E| / workers (λ = 0.1). */
   def threshold(totalEdges: Long, numWorkers: Int, lambda: Double = 0.1): Long =
@@ -34,8 +38,7 @@ object ShadowNodes {
       .withColumn("nGroups", ceil(col("deg") / lit(thr.toDouble)).cast("long"))
     val nHubs = hubs.count()
     if (nHubs == 0) {
-      val mx = outDeg.agg(max("deg")).head().getLong(0)
-      return Shadowed(nodes, edges, 0L, 0L, mx)
+      return new Shadowed(nodes, edges, 0L, 0L, outDeg.agg(max("deg")).head().getLong(0))
     }
 
     val base = nodes.agg(max("id")).head().getLong(0) + 1L
@@ -60,7 +63,6 @@ object ShadowNodes {
         col("dst"), col("w"))
     val nonHubOut = edges.join(hubsIdx, edges("src") === hubsIdx("hub"), "left_anti")
     val edges1 = nonHubOut.union(hubOut)
-    val maxOutAfterSplit = edges1.groupBy("src").count().agg(max("count")).head().getLong(0)
 
     // 2. in-edges of a hub are copied to every mirror (incl. the original)
     val allMirrorIds = mirrors.union(hubsIdx.select(col("hub"), col("hub").as("mirror")))
@@ -75,7 +77,7 @@ object ShadowNodes {
       .select(col("mirror").as("id") +: otherCols.map(nodes(_)): _*)
     val nodes2 = nodes.union(mirrorNodes)
 
-    val nMirrors = mirrors.count()
-    Shadowed(nodes2, edges2, nMirrors, nHubs, maxOutAfterSplit)
+    new Shadowed(nodes2, edges2, nHubs, mirrors.count(),
+      edges1.groupBy("src").count().agg(max("count")).head().getLong(0))
   }
 }

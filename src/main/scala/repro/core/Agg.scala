@@ -20,7 +20,9 @@ case object EmptyAgg extends Agg
 final case class Pooled(sum: Array[Double], wsum: Double) extends Agg
 
 /** Multiset union of (message, edgeWeight) pairs — for non-associative
-  * reduces (attention). List concat keeps merge O(min).
+  * reduces (attention). Merging copies the left list, so a caller that folds
+  * messages in one at a time passes the new message as the left operand and
+  * keeps each step O(1).
   */
 final case class Unioned(msgs: List[(Array[Double], Double)]) extends Agg
 

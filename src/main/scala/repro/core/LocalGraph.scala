@@ -73,7 +73,7 @@ object LocalInference {
     var e = 0
     while (e < g.nEdges) {
       val m = layer.applyEdge(payload(g.src(e)), g.w(e))
-      aggs(g.dst(e)) = Agg.merge(aggs(g.dst(e)), layer.initAgg(m, g.w(e)))
+      aggs(g.dst(e)) = Agg.merge(layer.initAgg(m, g.w(e)), aggs(g.dst(e)))
       e += 1
     }
     val out = new Array[Array[Double]](g.n)

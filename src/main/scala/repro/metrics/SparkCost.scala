@@ -41,6 +41,8 @@ object SparkCost {
   private val byGroup = new ConcurrentHashMap[String, Acc]()
   private val jobGroup = new ConcurrentHashMap[Int, String]()
   private val stageJob = new ConcurrentHashMap[Int, Int]()
+  private val SentinelPrefix = "sparkcost-drain#"
+  private val sentinelsSeen = new java.util.HashSet[String]()
   @volatile private var installed = false
 
   private def install(spark: SparkSession): Unit = synchronized {
@@ -48,6 +50,10 @@ object SparkCost {
       spark.sparkContext.addSparkListener(new SparkListener {
         override def onJobStart(e: SparkListenerJobStart): Unit = {
           val grp = Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse("")
+          if (grp.startsWith(SentinelPrefix)) sentinelsSeen.synchronized {
+            sentinelsSeen.add(grp)
+            sentinelsSeen.notifyAll()
+          }
           jobGroup.put(e.jobId, grp)
           e.stageIds.foreach(s => stageJob.put(s, e.jobId))
         }
@@ -75,8 +81,30 @@ object SparkCost {
     Cost(0L, a.runMs, a.cpuMs, a.srB, a.srR, a.swB, a.swR)
   }
 
-  /** Run `body` under a job group and return its cost. Listener delivery is
-    * asynchronous, so we allow the bus a short drain window after the body.
+  /** Waits until the listener has seen every event posted so far. It runs a
+    * one-task sentinel job in a group of its own and waits for that job's
+    * start: the scheduler posts a task's end before it lets the task's job
+    * finish, and the bus delivers events in order, so by then every task of
+    * the jobs that ran before has been recorded.
+    */
+  private def drain(spark: SparkSession): Unit = {
+    val sc = spark.sparkContext
+    val tag = s"$SentinelPrefix${System.nanoTime()}"
+    sc.setJobGroup(tag, "listener drain", interruptOnCancel = false)
+    try sc.parallelize(Seq(0), 1).count()
+    finally sc.clearJobGroup()
+    val deadline = System.nanoTime() + 60L * 1000000000L
+    sentinelsSeen.synchronized {
+      while (!sentinelsSeen.remove(tag)) {
+        val leftMs = (deadline - System.nanoTime()) / 1000000L
+        if (leftMs <= 0) throw new IllegalStateException("listener bus did not drain within 60 s")
+        sentinelsSeen.wait(leftMs)
+      }
+    }
+  }
+
+  /** Run `body` under a job group and return its cost, read after the
+    * listener has seen every task of the body's jobs.
     */
   def measure[T](spark: SparkSession, tag: String)(body: => T): (T, Cost) = {
     install(spark)
@@ -87,7 +115,7 @@ object SparkCost {
       try body
       finally spark.sparkContext.clearJobGroup()
     val wallMs = (System.nanoTime() - t0) / 1000000L
-    Thread.sleep(400) // let the listener bus drain
+    drain(spark)
     val c = snapshot(unique)
     (result, c.copy(wallMs = wallMs))
   }

@@ -37,6 +37,12 @@ object PregelBackend {
   /** Marker weight for keepalive self-edges (never a real edge weight). */
   private val MarkerW = Double.NaN
 
+  /** GraphX calls `mergeMsg(accumulated, incoming)`. The incoming message is
+    * passed to [[Agg.merge]] as the left operand, so a [[Unioned]] aggregate
+    * grows in O(1) per message.
+    */
+  private val mergeMsg: (Agg, Agg) => Agg = (acc, msg) => Agg.merge(msg, acc)
+
   /** Full-graph inference; returns DataFrame(id LONG, h ARRAY&lt;DOUBLE&gt;). */
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
           opts: PregelOpts = PregelOpts()): DataFrame = {
@@ -69,7 +75,7 @@ object PregelBackend {
             else layer.scatterPayload(ctx.srcAttr._1)
           val m = layer.applyEdge(payload, ctx.attr)
           ctx.sendToDst(if (pg) layer.initAgg(m, ctx.attr) else Unioned(List((m, ctx.attr)))) },
-        Agg.merge)
+        mergeMsg)
       val ng = g.outerJoinVertices(msgs)((_, h, agg) =>
         layer.applyNode(h, agg.getOrElse(EmptyAgg))).cache()
       ng.vertices.count()
@@ -110,7 +116,7 @@ object PregelBackend {
       }
     }
 
-    val done = Pregel(init, initialMsg = Marker: Agg, maxIterations = k)(vprog, sendMsg, Agg.merge)
+    val done = Pregel(init, initialMsg = Marker: Agg, maxIterations = k)(vprog, sendMsg, mergeMsg)
     done.vertices.mapValues { case (step, h) =>
       require(step == k, s"vertex halted at superstep $step of $k")
       h

@@ -1,10 +1,11 @@
 package repro.batch
 
-import repro.SparkSpec
+import repro.{GraphFixture, SparkSpec}
 import repro.BackendTestUtil.{assertMatchesLocal, fixture}
 import repro.batch.BatchBackend.BatchOpts
-import repro.core.Models
+import repro.core.{GnnModel, Models}
 import repro.graphgen.{GraphGen, GraphSpec}
+import repro.metrics.SparkCost
 
 class BatchBackendSpec extends SparkSpec {
 
@@ -102,5 +103,31 @@ class BatchBackendSpec extends SparkSpec {
     assertMatchesLocal(
       BatchBackend.run(spark, fz.nodes, fz.edges, m, BatchOpts(partialGather = true)),
       fz.local, fz.reference(m), tol = 1e-6)
+  }
+
+  test("each layer is one shuffle: |V| + |E| records, minus hub out-edges under broadcast") {
+    def records(fz: GraphFixture, m: GnnModel, opts: BatchOpts): Long =
+      SparkCost.measure(spark, "bb-records") {
+        BatchBackend.run(spark, fz.nodes, fz.edges, m, opts).count()
+      }._2.shuffleWriteRecords
+    // a second layer adds one round and nothing else: the adjacency build
+    // and the output cancel in the difference
+    def perLayer(fz: GraphFixture, opts: BatchOpts): Long =
+      records(fz, Models.sage(Seq(16, 8, 4)), opts) - records(fz, Models.sage(Seq(16, 4)), opts)
+
+    val out = fixture(spark, GraphGen.powerLaw(300, avgDeg = 8, inSkew = false, seed = 69L))
+    val (v, e) = (out.local.n.toLong, out.local.nEdges.toLong)
+    assert(perLayer(out, BatchOpts(partialGather = false)) == v + e)
+
+    val thr = ShadowNodes.threshold(e, numWorkers = 8)
+    val hubOutEdges = out.local.outDegree.filter(_ > thr).map(_.toLong).sum
+    assert(hubOutEdges > 0, "fixture has no hubs — weak test")
+    assert(perLayer(out, BatchOpts(partialGather = false, broadcastHubs = true, numWorkers = 8)) ==
+      v + e - hubOutEdges)
+
+    val in = fixture(spark, GraphGen.powerLaw(400, avgDeg = 8, inSkew = true, seed = 70L))
+    val m = Models.sage(Seq(16, 8, 4))
+    assert(records(in, m, BatchOpts(partialGather = true)) <
+      records(in, m, BatchOpts(partialGather = false)))
   }
 }
