@@ -9,8 +9,10 @@ import repro.nn.DMat
   * The paper saves, next to the weights, a per-layer signature recording the
   * stage annotations (notably whether `aggregate` is partial-gatherable) so
   * the inference deployment needs no manual configuration. This is a plain
-  * text serialization: one `layer` header line carrying the [[LayerSig]],
-  * followed by named weight matrices.
+  * text serialization: one `layer` header line carrying the [[LayerSig]]
+  * (plus GAT's `outPerHead` and `alpha`), followed by named weight matrices.
+  * Loading checks every matrix shape against the header and the rebuilt
+  * layer's signature against the header's.
   */
 object ModelIO {
 
@@ -19,12 +21,11 @@ object ModelIO {
     try {
       w.write(s"model multiLabel=${model.multiLabel} layers=${model.layers.size}\n")
       model.layers.foreach {
-        case SageLayer(ws, wn, b, act) =>
-          w.write(s"layer kind=sage in=${ws.rows} out=${ws.cols} partial=true act=${act.name}\n")
+        case l @ SageLayer(ws, wn, b, _) =>
+          w.write(s"layer ${sigFields(l.signature)}\n")
           writeMat(w, "wSelf", ws); writeMat(w, "wNbr", wn); writeMat(w, "bias", b)
-        case g @ GatLayer(wm, aSrc, aDst, act, combine, alpha) =>
-          w.write(s"layer kind=gat in=${g.inDim} outPerHead=${g.outPerHead} heads=${g.heads} " +
-            s"partial=false act=${act.name} combine=$combine alpha=$alpha\n")
+        case g @ GatLayer(wm, aSrc, aDst, _, _, alpha) =>
+          w.write(s"layer ${sigFields(g.signature)} outPerHead=${g.outPerHead} alpha=$alpha\n")
           wm.indices.foreach { k =>
             writeMat(w, s"w$k", wm(k))
             writeMat(w, s"aSrc$k", DMat.rowVec(aSrc(k)))
@@ -35,6 +36,15 @@ object ModelIO {
     } finally w.close()
   }
 
+  /** The `key=value` form of a signature in a `layer` header line. */
+  private def sigFields(s: LayerSig): String =
+    s"kind=${s.kind} in=${s.inDim} out=${s.outDim} partial=${s.partialGather} " +
+      s"act=${s.activation} heads=${s.heads} combine=${s.combine}"
+
+  private def parseSig(h: Map[String, String]): LayerSig =
+    LayerSig(h("kind"), h("in").toInt, h("out").toInt, h("partial").toBoolean, h("act"),
+      h("heads").toInt, h("combine"))
+
   private def writeMat(w: BufferedWriter, name: String, m: DMat): Unit = {
     w.write(s"mat $name ${m.rows} ${m.cols}\n")
     w.write(m.a.map(java.lang.Double.toString).mkString(" "))
@@ -44,33 +54,39 @@ object ModelIO {
   def load(path: String): GnnModel = {
     val srcFile = Source.fromFile(path)
     try {
-      val lines = srcFile.getLines().buffered
+      val lines = srcFile.getLines()
       val head = kv(lines.next())
       val multiLabel = head("multiLabel").toBoolean
       val nLayers = head("layers").toInt
-      def readMat(expect: String): DMat = {
-        val parts = lines.next().split(" ")
-        require(parts(0) == "mat" && parts(1) == expect, s"expected mat $expect, got ${parts.mkString(" ")}")
-        val (r, c) = (parts(2).toInt, parts(3).toInt)
-        val data = lines.next().split(" ").map(_.toDouble)
-        new DMat(r, c, data)
-      }
-      val layers = (0 until nLayers).map { _ =>
+      val layers = (0 until nLayers).map { i =>
         val h = kv(lines.next())
-        h("kind") match {
-          case "sage" =>
-            SageLayer(readMat("wSelf"), readMat("wNbr"), readMat("bias"), Act.of(h("act")))
-          case "gat" =>
-            val heads = h("heads").toInt
-            val ws = new Array[DMat](heads)
-            val aS = new Array[Array[Double]](heads)
-            val aD = new Array[Array[Double]](heads)
-            (0 until heads).foreach { k =>
-              ws(k) = readMat(s"w$k"); aS(k) = readMat(s"aSrc$k").a; aD(k) = readMat(s"aDst$k").a
-            }
-            GatLayer(ws, aS, aD, Act.of(h("act")), h("combine"), h("alpha").toDouble)
-          case other => throw new IllegalArgumentException(s"unknown layer kind $other")
+        val sig = parseSig(h)
+        def readMat(name: String, rows: Int, cols: Int): DMat = {
+          val parts = lines.next().split(" ")
+          require(parts.length == 4 && parts(0) == "mat" && parts(1) == name,
+            s"layer $i: expected mat $name, got ${parts.mkString(" ")}")
+          require(parts(2).toInt == rows && parts(3).toInt == cols,
+            s"layer $i: matrix $name is ${parts(2)}x${parts(3)}, the header implies ${rows}x$cols")
+          val data = lines.next().split(" ").map(_.toDouble)
+          require(data.length == rows * cols,
+            s"layer $i: matrix $name has ${data.length} values, ${rows}x$cols needs ${rows * cols}")
+          new DMat(rows, cols, data)
         }
+        val layer = sig.kind match {
+          case "sage" =>
+            SageLayer(readMat("wSelf", sig.inDim, sig.outDim), readMat("wNbr", sig.inDim, sig.outDim),
+              readMat("bias", 1, sig.outDim), Act.of(sig.activation))
+          case "gat" =>
+            val oph = h("outPerHead").toInt
+            val heads = (0 until sig.heads).map { k =>
+              (readMat(s"w$k", sig.inDim, oph), readMat(s"aSrc$k", 1, oph).a, readMat(s"aDst$k", 1, oph).a)
+            }
+            GatLayer(heads.map(_._1).toArray, heads.map(_._2).toArray, heads.map(_._3).toArray,
+              Act.of(sig.activation), sig.combine, h("alpha").toDouble)
+          case other => throw new IllegalArgumentException(s"layer $i: unknown layer kind $other")
+        }
+        require(layer.signature == sig, s"layer $i: header $sig disagrees with its matrices (${layer.signature})")
+        layer
       }
       GnnModel(layers, multiLabel)
     } finally srcFile.close()

@@ -16,14 +16,15 @@ final case class Cost(
     shuffleReadRecords: Long,
     shuffleWriteBytes: Long,
     shuffleWriteRecords: Long,
-    driverMs: Long = 0L) {
+    driverMs: Long = 0L,
+    jobs: Long = 0L) {
   /** cpu·s proxy: executor task time + driver compute. */
   def cpuSec: Double = (execRunMs + driverMs) / 1000.0
   def withDriver(ms: Long): Cost = copy(driverMs = driverMs + ms)
   def -(b: Cost): Cost = Cost(wallMs - b.wallMs, execRunMs - b.execRunMs, execCpuMs - b.execCpuMs,
     shuffleReadBytes - b.shuffleReadBytes, shuffleReadRecords - b.shuffleReadRecords,
     shuffleWriteBytes - b.shuffleWriteBytes, shuffleWriteRecords - b.shuffleWriteRecords,
-    driverMs - b.driverMs)
+    driverMs - b.driverMs, jobs - b.jobs)
 }
 
 /** A SparkListener that attributes task metrics to job groups so benches can
@@ -36,6 +37,7 @@ object SparkCost {
     @volatile var cpuMs = 0L
     @volatile var srB = 0L; @volatile var srR = 0L
     @volatile var swB = 0L; @volatile var swR = 0L
+    @volatile var jobs = 0L
   }
 
   private val byGroup = new ConcurrentHashMap[String, Acc]()
@@ -55,6 +57,8 @@ object SparkCost {
             sentinelsSeen.notifyAll()
           }
           jobGroup.put(e.jobId, grp)
+          val acc = byGroup.computeIfAbsent(grp, _ => new Acc)
+          acc.synchronized { acc.jobs += 1 }
           e.stageIds.foreach(s => stageJob.put(s, e.jobId))
         }
         override def onTaskEnd(e: SparkListenerTaskEnd): Unit = {
@@ -78,7 +82,7 @@ object SparkCost {
 
   private def snapshot(tag: String): Cost = {
     val a = byGroup.computeIfAbsent(tag, _ => new Acc)
-    Cost(0L, a.runMs, a.cpuMs, a.srB, a.srR, a.swB, a.swR)
+    Cost(0L, a.runMs, a.cpuMs, a.srB, a.srR, a.swB, a.swR, jobs = a.jobs)
   }
 
   /** Waits until the listener has seen every event posted so far. It runs a

@@ -1,6 +1,7 @@
 package repro.pregel
 
-import org.apache.spark.graphx.{Edge, EdgeTriplet, Graph, Pregel, VertexId}
+import org.apache.spark.graphx.{Edge, Graph, TripletFields}
+import org.apache.spark.graphx.impl.GraphImpl
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 
@@ -12,30 +13,22 @@ import repro.core._
   * partial-gather: for associative layers messages are reduced as they are
   * merged; for GAT they are unioned and reduced in `apply_node`.
   *
-  * Two execution modes:
-  *  - `useNativePregel = true`: the GraphX `Pregel` operator, one superstep
-  *    per layer. GraphX only runs `vprog` on vertices that received a
-  *    message, which would freeze zero-in-degree vertices at layer 0; we add
-  *    one self-*marker* edge per vertex carrying a [[Marker]] message that
-  *    merges away, so every vertex advances every superstep (the paper's
-  *    systems always run k supersteps over all vertices).
-  *  - `useNativePregel = false`: an explicit aggregateMessages/joinVertices
-  *    loop — the same dataflow, easier to instrument.
+  * A superstep is one `aggregateMessages` round over a fixed edge table,
+  * then a `leftJoin` of the messages onto the embeddings. The embeddings stay
+  * in the vertex table; each vertex's payload is computed once
+  * (`scatterPayload`), and only it is shipped, to the edge partitions
+  * holding that vertex's out-edges (`TripletFields.Src`). The `leftJoin`
+  * visits every vertex, and one that received nothing applies [[EmptyAgg]],
+  * so zero-in-degree vertices advance every layer too (the paper's systems
+  * run k supersteps over all vertices).
   *
-  * `precomputePayload` is the broadcast-strategy analog on this backend: the
-  * per-vertex payload is computed once in the vertex attribute (and shipped
-  * once per edge partition by GraphX's routing) instead of being recomputed
-  * for every out-edge.
+  * An edge whose `src` or `dst` is missing from the node table is dropped, as
+  * the MR backend does: GraphX gives such a phantom vertex a null state, a
+  * null payload sends nothing, and null states never reach the output.
   */
 object PregelBackend {
 
-  final case class PregelOpts(
-      useNativePregel: Boolean = true,
-      partialGather: Boolean = true,
-      precomputePayload: Boolean = true)
-
-  /** Marker weight for keepalive self-edges (never a real edge weight). */
-  private val MarkerW = Double.NaN
+  final case class PregelOpts(partialGather: Boolean = true)
 
   /** GraphX calls `mergeMsg(accumulated, incoming)`. The incoming message is
     * passed to [[Agg.merge]] as the left operand, so a [[Unioned]] aggregate
@@ -51,75 +44,27 @@ object PregelBackend {
     val edgeRdd = edges.select("src", "dst", "w").rdd
       .map(r => Edge(r.getLong(0), r.getLong(1), r.getDouble(2)))
 
-    val resultVerts =
-      if (opts.useNativePregel) runNative(verts, edgeRdd, model, opts)
-      else runLoop(verts, edgeRdd, model, opts)
-
-    import spark.implicits._
-    resultVerts.map { case (id, h) => (id, h.toSeq) }.toDF("id", "h")
-  }
-
-  private def runLoop(verts: org.apache.spark.rdd.RDD[(VertexId, Array[Double])],
-                      edgeRdd: org.apache.spark.rdd.RDD[Edge[Double]],
-                      model: GnnModel, opts: PregelOpts) = {
-    var g: Graph[Array[Double], Double] = Graph(verts, edgeRdd).cache()
+    val graph = Graph(verts, edgeRdd)
+    var h = graph.vertices
     model.layers.foreach { layer =>
       val pg = opts.partialGather && layer.partialGather
-      val staged: Graph[(Array[Double], Array[Double]), Double] =
-        if (opts.precomputePayload) g.mapVertices((_, h) => (h, layer.scatterPayload(h)))
-        else g.mapVertices((_, h) => (h, null: Array[Double]))
-      val msgs = staged.aggregateMessages[Agg](
-        ctx => {
-          val payload =
-            if (opts.precomputePayload) ctx.srcAttr._2
-            else layer.scatterPayload(ctx.srcAttr._1)
-          val m = layer.applyEdge(payload, ctx.attr)
-          ctx.sendToDst(if (pg) layer.initAgg(m, ctx.attr) else Unioned(List((m, ctx.attr)))) },
-        mergeMsg)
-      val ng = g.outerJoinVertices(msgs)((_, h, agg) =>
-        layer.applyNode(h, agg.getOrElse(EmptyAgg))).cache()
-      ng.vertices.count()
-      g.unpersist(blocking = false)
-      g = ng
+      val payloads = h.mapValues(x => if (x == null) null else layer.scatterPayload(x)).cache()
+      val msgs = GraphImpl.fromExistingRDDs(payloads, graph.edges).aggregateMessages[Agg](
+        ctx => if (ctx.srcAttr != null) {
+          val m = layer.applyEdge(ctx.srcAttr, ctx.attr)
+          ctx.sendToDst(if (pg) layer.initAgg(m, ctx.attr) else Unioned(List((m, ctx.attr))))
+        },
+        mergeMsg, TripletFields.Src)
+      val next = h.leftJoin(msgs)((_, x, agg) =>
+        if (x == null) null else layer.applyNode(x, agg.getOrElse(EmptyAgg))).cache()
+      next.count()
+      payloads.unpersist(blocking = false)
+      h.unpersist(blocking = false)
+      h = next
     }
-    g.vertices
-  }
+    graph.edges.unpersist(blocking = false)
 
-  private def runNative(verts: org.apache.spark.rdd.RDD[(VertexId, Array[Double])],
-                        edgeRdd: org.apache.spark.rdd.RDD[Edge[Double]],
-                        model: GnnModel, opts: PregelOpts) = {
-    val k = model.layers.size
-    val layers = model.layers.toIndexedSeq
-    val markers = verts.map { case (id, _) => Edge(id, id, MarkerW) }
-    // step -1 = pre-init; vprog at superstep 0 initializes (raw feats -> h0)
-    val init: Graph[(Int, Array[Double]), Double] =
-      Graph(verts.map { case (id, f) => (id, (-1, f)) }, edgeRdd.union(markers)).cache()
-
-    def vprog(id: VertexId, attr: (Int, Array[Double]), msg: Agg): (Int, Array[Double]) = {
-      val (step, h) = attr
-      if (step < 0) (0, h) // initialization superstep: raw features are h^0
-      else {
-        val real = msg match { case Marker => EmptyAgg; case other => other }
-        (step + 1, layers(step).applyNode(h, real))
-      }
-    }
-
-    def sendMsg(t: EdgeTriplet[(Int, Array[Double]), Double]): Iterator[(VertexId, Agg)] = {
-      val step = t.srcAttr._1
-      if (step >= k) Iterator.empty
-      else if (java.lang.Double.isNaN(t.attr)) Iterator((t.dstId, Marker))
-      else {
-        val layer = layers(step)
-        val pg = opts.partialGather && layer.partialGather
-        val m = layer.applyEdge(layer.scatterPayload(t.srcAttr._2), t.attr)
-        Iterator((t.dstId, if (pg) layer.initAgg(m, t.attr) else Unioned(List((m, t.attr)))))
-      }
-    }
-
-    val done = Pregel(init, initialMsg = Marker: Agg, maxIterations = k)(vprog, sendMsg, mergeMsg)
-    done.vertices.mapValues { case (step, h) =>
-      require(step == k, s"vertex halted at superstep $step of $k")
-      h
-    }
+    import spark.implicits._
+    h.filter(_._2 != null).map { case (id, x) => (id, x.toSeq) }.toDF("id", "h")
   }
 }

@@ -13,11 +13,12 @@ class AggSpec extends AnyFunSuite {
     assert(Agg.merge(EmptyAgg, EmptyAgg) == EmptyAgg)
   }
 
+  // Named after the removed keepalive `Marker`: a vertex that receives
+  // nothing applies EmptyAgg, which must merge away from unions too.
   test("Marker merges away") {
-    val p = pooled(1, 2)
-    assert(Agg.merge(Marker, p) eq p)
-    assert(Agg.merge(p, Marker) eq p)
-    assert(Agg.merge(Marker, Marker) == Marker)
+    val u = Unioned(List((Array(1.0), 1.0)))
+    assert(Agg.merge(EmptyAgg, u) eq u)
+    assert(Agg.merge(u, EmptyAgg) eq u)
   }
 
   test("Pooled merge sums element-wise and adds weights") {

@@ -58,4 +58,22 @@ class ModelIOSpec extends AnyFunSuite {
       "model multiLabel=false layers=1\nlayer kind=bogus\n".getBytes)
     intercept[Exception](ModelIO.load(path))
   }
+
+  test("a header that disagrees with its matrices fails with the layer and matrix named") {
+    val path = tmp()
+    ModelIO.save(Models.sage(Seq(5, 4, 3), seed = 13), path)
+    val lines = scala.util.Using.resource(scala.io.Source.fromFile(path))(_.getLines().toVector)
+    def loadEdited(edit: Vector[String] => Vector[String]): String = {
+      val bad = tmp()
+      java.nio.file.Files.write(java.nio.file.Paths.get(bad), edit(lines).mkString("\n").getBytes)
+      intercept[IllegalArgumentException](ModelIO.load(bad)).getMessage
+    }
+    val layer1 = lines.lastIndexWhere(_.startsWith("layer "))
+    val wrongIn = loadEdited(ls => ls.updated(layer1, ls(layer1).replace(" in=4 ", " in=5 ")))
+    assert(wrongIn.contains("layer 1") && wrongIn.contains("wSelf"), wrongIn)
+
+    val wNbrRow = lines.indexWhere(_.startsWith("mat wNbr ")) + 1
+    val truncated = loadEdited(ls => ls.updated(wNbrRow, ls(wNbrRow).split(" ").init.mkString(" ")))
+    assert(truncated.contains("layer 0") && truncated.contains("wNbr"), truncated)
+  }
 }

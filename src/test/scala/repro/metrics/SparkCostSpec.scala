@@ -32,6 +32,14 @@ class SparkCostSpec extends SparkSpec {
     assert(withDriver.cpuSec >= c.cpuSec + 6.0 - 1e-9)
   }
 
+  test("measure counts the Spark jobs its body starts") {
+    val sc = spark.sparkContext
+    val (_, c) = SparkCost.measure(spark, "jobs") {
+      sc.parallelize(1 to 10, 2).count(); sc.parallelize(1 to 10, 2).sum()
+    }
+    assert(c.jobs == 2)
+  }
+
   test("cost subtraction is field-wise") {
     val a = Cost(10, 20, 30, 40, 50, 60, 70, 5)
     val b = Cost(1, 2, 3, 4, 5, 6, 7, 1)

@@ -2,9 +2,24 @@ package repro.pregel
 
 import repro.{BackendTestUtil, SparkSpec}
 import repro.BackendTestUtil.{assertMatchesLocal, fixture}
-import repro.core.Models
-import repro.graphgen.GraphSpec
+import repro.batch.BatchBackend
+import repro.core.{Agg, GasLayer, GnnModel, LayerSig, Models}
+import repro.graphgen.{GraphGen, GraphSpec}
+import repro.metrics.SparkCost
 import repro.pregel.PregelBackend.PregelOpts
+
+/** Delegates to `inner` and counts the vertices whose payload it computes. */
+private final case class CountingPayload(inner: GasLayer, calls: org.apache.spark.util.LongAccumulator)
+    extends GasLayer {
+  def inDim: Int = inner.inDim
+  def outDim: Int = inner.outDim
+  def partialGather: Boolean = inner.partialGather
+  def scatterPayload(h: Array[Double]): Array[Double] = { calls.add(1); inner.scatterPayload(h) }
+  def applyEdge(payload: Array[Double], w: Double): Array[Double] = inner.applyEdge(payload, w)
+  def initAgg(msg: Array[Double], w: Double): Agg = inner.initAgg(msg, w)
+  def applyNode(h: Array[Double], agg: Agg): Array[Double] = inner.applyNode(h, agg)
+  def signature: LayerSig = inner.signature
+}
 
 class PregelBackendSpec extends SparkSpec {
 
@@ -13,56 +28,58 @@ class PregelBackendSpec extends SparkSpec {
   private lazy val sage2 = Models.sage(Seq(6, 4, 3))
   private lazy val gat2 = Models.gat(Seq(6, 4, 3), heads = 2)
 
+  // The next two names are those of the removed native `graph.pregel` mode;
+  // the one path now checks them on the power-law graphs that mode was
+  // built for: hub senders for SAGE, hub receivers for GAT.
   test("SAGE 2-layer: native Pregel matches the local reference") {
-    assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(useNativePregel = true)),
-      fix.local, fix.reference(sage2))
+    val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 6, inSkew = false, seed = 67L))
+    val m = Models.sage(Seq(16, 8, 4))
+    assertMatchesLocal(PregelBackend.run(spark, fz.nodes, fz.edges, m), fz.local, fz.reference(m))
   }
 
   test("SAGE 2-layer: aggregateMessages loop matches the local reference") {
-    assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(useNativePregel = false)),
-      fix.local, fix.reference(sage2))
+    assertMatchesLocal(PregelBackend.run(spark, fix.nodes, fix.edges, sage2), fix.local, fix.reference(sage2))
   }
 
   test("GAT 2-layer: native Pregel matches (union aggregation, attention in apply_node)") {
-    assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, gat2, PregelOpts(useNativePregel = true)),
-      fix.local, fix.reference(gat2), tol = 1e-7)
+    val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 6, inSkew = true, seed = 68L))
+    val m = Models.gat(Seq(16, 8, 4), heads = 2)
+    assertMatchesLocal(PregelBackend.run(spark, fz.nodes, fz.edges, m), fz.local, fz.reference(m), tol = 1e-7)
   }
 
   test("GAT 2-layer: loop mode matches") {
-    assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, gat2, PregelOpts(useNativePregel = false)),
+    assertMatchesLocal(PregelBackend.run(spark, fix.nodes, fix.edges, gat2),
       fix.local, fix.reference(gat2), tol = 1e-7)
   }
 
   test("partial-gather off (messages travel unioned) is exact for SAGE") {
     assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2,
-        PregelOpts(useNativePregel = false, partialGather = false)),
-      fix.local, fix.reference(sage2))
-    assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2,
-        PregelOpts(useNativePregel = true, partialGather = false)),
+      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(partialGather = false)),
       fix.local, fix.reference(sage2))
   }
 
+  // The payload is computed once per vertex and layer, never per edge, and
+  // gives the same results as the reference's per-vertex payloads.
   test("precomputePayload off recomputes per-edge with identical results") {
-    assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, gat2,
-        PregelOpts(useNativePregel = false, precomputePayload = false)),
+    val calls = spark.sparkContext.longAccumulator("scatterPayload calls")
+    val counted = GnnModel(gat2.layers.map(CountingPayload(_, calls)))
+    assertMatchesLocal(PregelBackend.run(spark, fix.nodes, fix.edges, counted),
       fix.local, fix.reference(gat2), tol = 1e-7)
+    assert(calls.value == gat2.layers.size.toLong * fix.local.n)
   }
 
+  // Retargeted from the native-vs-loop comparison: combined (`Pooled`) and
+  // unioned messages give the same predictions on the one path.
   test("native and loop modes agree bit-for-bit on argmax predictions") {
     val a = BackendTestUtil.collectH(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(useNativePregel = true)))
+      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(partialGather = true)))
     val b = BackendTestUtil.collectH(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(useNativePregel = false)))
+      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(partialGather = false)))
+    assert(a.keySet == b.keySet)
     a.foreach { case (id, h) =>
       val diff = h.zip(b(id)).map { case (x, y) => math.abs(x - y) }.max
       assert(diff < 1e-9, s"vertex $id differs by $diff")
+      assert(sage2.predict(h) == sage2.predict(b(id)), s"vertex $id changes class")
     }
   }
 
@@ -82,17 +99,41 @@ class PregelBackendSpec extends SparkSpec {
       .toDF("id", "feat", "label", "labels")
     val edges = (1L to 4L).map(d => (0L, d, 1.0)).toDF("src", "dst", "w")
     val m = Models.sage(Seq(3, 3, 2))
-    val local = repro.graphgen.GraphGen.toLocal(nodes, edges, 2)
+    val local = GraphGen.toLocal(nodes, edges, 2)
     val ref = repro.core.LocalInference.forward(local, m)
-    assertMatchesLocal(PregelBackend.run(spark, nodes, edges, m, PregelOpts(useNativePregel = true)),
-      local, ref)
-    assertMatchesLocal(PregelBackend.run(spark, nodes, edges, m, PregelOpts(useNativePregel = false)),
-      local, ref)
+    assertMatchesLocal(PregelBackend.run(spark, nodes, edges, m), local, ref)
   }
 
   test("power-law in-degree graph (hub receivers) stays exact") {
-    val fz = fixture(spark, repro.graphgen.GraphGen.powerLaw(500, avgDeg = 6, inSkew = true, seed = 66L))
+    val fz = fixture(spark, GraphGen.powerLaw(500, avgDeg = 6, inSkew = true, seed = 66L))
     val m = Models.sage(Seq(16, 8, 4))
     assertMatchesLocal(PregelBackend.run(spark, fz.nodes, fz.edges, m), fz.local, fz.reference(m), tol = 1e-7)
+  }
+
+  test("each layer is one superstep: one more Spark job per layer, no init superstep") {
+    // `run` is eager up to its lazy output, so its jobs are its supersteps
+    def jobs(m: GnnModel): Long =
+      SparkCost.measure(spark, "pregel-jobs")(PregelBackend.run(spark, fix.nodes, fix.edges, m))._2.jobs
+    val (one, two) = (jobs(Models.sage(Seq(6, 3))), jobs(sage2))
+    assert(two - one == 1)
+    assert(one == 1 && two == 2)
+  }
+
+  test("edges with a missing src or dst are dropped by both backends") {
+    import spark.implicits._
+    val ids = fix.local.ids
+    val ghost = ids.max + 1
+    val bad = Seq((ghost, ids(0), 1.0), (ids(1), ghost + 1, 1.0)).toDF("src", "dst", "w")
+    val edges = fix.edges.select("src", "dst", "w").union(bad)
+    Seq(sage2 -> 1e-8, gat2 -> 1e-7).foreach { case (m, tol) =>
+      val pregel = PregelBackend.run(spark, fix.nodes, edges, m)
+      val mr = BatchBackend.run(spark, fix.nodes, edges, m)
+      assertMatchesLocal(pregel, fix.local, fix.reference(m), tol)
+      assertMatchesLocal(mr, fix.local, fix.reference(m), tol)
+      val (a, b) = (BackendTestUtil.collectH(pregel), BackendTestUtil.collectH(mr))
+      a.foreach { case (id, h) =>
+        assert(h.zip(b(id)).forall { case (x, y) => math.abs(x - y) < tol }, s"backends differ at $id")
+      }
+    }
   }
 }
