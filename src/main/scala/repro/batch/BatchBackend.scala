@@ -15,8 +15,8 @@ import repro.core._
   * plus its out-edges, built once per run from the edge table. Each GNN
   * layer is one stateless MapReduce round with exactly one shuffle:
   *   1. map: every vertex computes its payload once (`scatter_nbrs`
-  *      content) and emits its own record to its id plus one `apply_edge`
-  *      message per out-edge;
+  *      content) and emits its own record to its id plus one message
+  *      `initAgg(applyEdge(payload, w), w)` per out-edge;
   *   2. combine: with **partial-gather** (the backend option and the
   *      layer's annotation both on) a per-partition hash combiner merges the
   *      messages of each destination through [[Agg.merge]] before the
@@ -36,13 +36,14 @@ import repro.core._
   * parallelism and the vertex table's partition count.
   *
   * Strategies:
-  *  - `partialGather`: combiner on/off (exact either way);
+  *  - `partialGather`: combiner on/off (exact either way, same messages);
   *  - `broadcastHubs`: the paper's broadcast strategy — out-edges of
   *    vertices with out-degree > threshold are stored at their receivers as
   *    `(hub id, weight)` pairs. Each round the hub payloads are collected
   *    and shipped once per worker as a Spark broadcast variable, and the
   *    reducer looks them up (the paper's identifier/lookup mechanism), so
-  *    hub messages never cross the shuffle;
+  *    hub messages never cross the shuffle. A hub missing from the node
+  *    table has no payload, and its edges are dropped;
   *  - `shadowNodes`: the [[ShadowNodes]] mirror split, applied as
   *    preprocessing and undone on output.
   */
@@ -52,7 +53,6 @@ object BatchBackend {
       partialGather: Boolean = true,
       broadcastHubs: Boolean = false,
       shadowNodes: Boolean = false,
-      lambda: Double = 0.1,
       numWorkers: Int = 64,
       spillDir: Option[String] = None)
 
@@ -67,7 +67,7 @@ object BatchBackend {
           opts: BatchOpts = BatchOpts()): DataFrame = {
     val sc = spark.sparkContext
     val needThr = opts.broadcastHubs || opts.shadowNodes
-    val thr = if (needThr) ShadowNodes.threshold(edges.count(), opts.numWorkers, opts.lambda) else 0L
+    val thr = if (needThr) ShadowNodes.threshold(edges.count(), opts.numWorkers) else 0L
 
     val (n0, e0) =
       if (opts.shadowNodes) {
@@ -130,8 +130,6 @@ object BatchBackend {
   /** One GNN layer as one MapReduce round; see the object doc. */
   private def runRound(sc: SparkContext, state: RDD[VertexRec], layer: GasLayer, i: Int, pg: Boolean,
                        hubs: Set[Long], parts: Partitioner): RDD[VertexRec] = {
-    def lift(m: Array[Double], w: Double): Agg = if (pg) layer.initAgg(m, w) else Unioned((m, w) :: Nil)
-
     val hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]] =
       if (hubs.isEmpty) None
       else Some(sc.broadcast(named(sc, s"mr layer $i hub payloads") {
@@ -144,7 +142,7 @@ object BatchBackend {
         val out = it.flatMap { v =>
           val p = layer.scatterPayload(v.h)
           Iterator.single(v.id -> (v: AnyRef)) ++
-            v.dst.indices.iterator.map(j => v.dst(j) -> (lift(layer.applyEdge(p, v.w(j)), v.w(j)): AnyRef))
+            v.dst.indices.iterator.map(j => v.dst(j) -> (layer.initAgg(layer.applyEdge(p, v.w(j)), v.w(j)): AnyRef))
         }
         if (pg) combine(out) else out
       }
@@ -163,7 +161,9 @@ object BatchBackend {
         lookup.foreach { payloads =>
           var j = 0
           while (j < v.hubSrc.length) {
-            agg = Agg.merge(lift(layer.applyEdge(payloads(v.hubSrc(j)), v.hubW(j)), v.hubW(j)), agg)
+            payloads.get(v.hubSrc(j)).foreach { p =>
+              agg = Agg.merge(layer.initAgg(layer.applyEdge(p, v.hubW(j)), v.hubW(j)), agg)
+            }
             j += 1
           }
         }

@@ -28,9 +28,12 @@ object ShadowNodes {
     lazy val maxOutAfterSplit: Long = maxOut
   }
 
-  /** Hub threshold heuristic from the paper: λ · |E| / workers (λ = 0.1). */
-  def threshold(totalEdges: Long, numWorkers: Int, lambda: Double = 0.1): Long =
-    math.max(1L, (lambda * totalEdges / numWorkers).toLong)
+  /** The paper's λ, fixed there: a hub has more than λ · |E| / workers out-edges. */
+  val Lambda: Double = 0.1
+
+  /** Hub threshold heuristic from the paper: λ · |E| / workers. */
+  def threshold(totalEdges: Long, numWorkers: Int): Long =
+    math.max(1L, (Lambda * totalEdges / numWorkers).toLong)
 
   def transform(spark: SparkSession, nodes: DataFrame, edges: DataFrame, thr: Long): Shadowed = {
     val outDeg = edges.groupBy("src").agg(count(lit(1)).as("deg"))

@@ -6,7 +6,8 @@ package repro.core
   * commutative + associative it can run anywhere in the pipeline (combiner /
   * partial-gather) and is represented as [[Pooled]]; otherwise messages are
   * *unioned* and the real reduce happens in `apply_node` ([[Unioned]], the
-  * GAT case). [[EmptyAgg]] is the identity of every merge.
+  * GAT case). Each layer builds one of the two forms, whether or not a
+  * combiner runs. [[EmptyAgg]] is the identity of every merge.
   */
 sealed trait Agg extends Serializable
 
@@ -18,12 +19,12 @@ case object EmptyAgg extends Agg
   */
 final case class Pooled(sum: Array[Double], wsum: Double) extends Agg
 
-/** Multiset union of (message, edgeWeight) pairs — for non-associative
-  * reduces (attention). Merging copies the left list, so a caller that folds
+/** Multiset union of messages — the form of a non-associative layer only
+  * (attention). Merging copies the left list, so a caller that folds
   * messages in one at a time passes the new message as the left operand and
   * keeps each step O(1).
   */
-final case class Unioned(msgs: List[(Array[Double], Double)]) extends Agg
+final case class Unioned(msgs: List[Array[Double]]) extends Agg
 
 object Agg {
   /** Commutative + associative merge — the combiner the paper runs on the
@@ -40,20 +41,5 @@ object Agg {
       Pooled(out, w1 + w2)
     case (Unioned(m1), Unioned(m2)) => Unioned(m1 ::: m2)
     case (x, y) => throw new IllegalStateException(s"cannot merge ${x.getClass.getSimpleName} with ${y.getClass.getSimpleName}")
-  }
-
-  /** Fold a union down to a pool (used when partial-gather is disabled for
-    * an associative layer: the receiver does the whole reduce).
-    */
-  def poolOf(u: Unioned): Pooled = {
-    val dim = u.msgs.head._1.length
-    val sum = new Array[Double](dim)
-    var w = 0.0
-    u.msgs.foreach { case (m, mw) =>
-      var i = 0
-      while (i < dim) { sum(i) += m(i); i += 1 }
-      w += mw
-    }
-    Pooled(sum, w)
   }
 }

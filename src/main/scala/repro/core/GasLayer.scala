@@ -68,7 +68,8 @@ final case class LayerSig(kind: String, inDim: Int, outDim: Int,
   *    paper;
   *  - `aggregate` (computation flow) is [[initAgg]] + [[Agg.merge]]; when
   *    [[partialGather]] is true it is commutative+associative and backends
-  *    may run it sender-side (combiner);
+  *    may also run it sender-side (combiner). That is all the annotation
+  *    decides: every engine builds messages with [[initAgg]];
   *  - `apply_node` is [[applyNode]];
   *  - `apply_edge` is [[applyEdge]], fed by [[scatterPayload]] which is the
   *    per-vertex part of the out-message, computed once per vertex (the
@@ -95,8 +96,8 @@ trait GasLayer extends Serializable {
   def initAgg(msg: Array[Double], w: Double): Agg
 
   /** Update the vertex state from its previous state and the gathered
-    * aggregate. Must accept [[Unioned]] even for associative layers (that is
-    * the partial-gather-disabled path) and [[EmptyAgg]] for isolated nodes.
+    * aggregate: the form [[initAgg]] builds, or [[EmptyAgg]] for a vertex
+    * that received nothing. Any other form is an error.
     */
   def applyNode(h: Array[Double], agg: Agg): Array[Double]
 

@@ -44,13 +44,14 @@ final case class GatLayer(w: Array[DMat], aSrc: Array[Array[Double]], aDst: Arra
 
   def applyEdge(payload: Array[Double], w: Double): Array[Double] = payload
 
-  def initAgg(msg: Array[Double], w: Double): Agg = Unioned((msg, w) :: Nil)
+  /** The edge weight plays no part in attention, so the union drops it. */
+  def initAgg(msg: Array[Double], w: Double): Agg = Unioned(msg :: Nil)
 
   private def lrelu(x: Double): Double = if (x > 0) x else leakyAlpha * x
 
   def applyNode(h: Array[Double], agg: Agg): Array[Double] = {
     val inMsgs: List[Array[Double]] = agg match {
-      case Unioned(ms) => ms.map(_._1)
+      case Unioned(ms) => ms
       case EmptyAgg    => Nil
       case other       => throw new IllegalStateException(s"GAT cannot consume ${other.getClass.getSimpleName}")
     }

@@ -27,14 +27,11 @@ final case class SageLayer(wSelf: DMat, wNbr: DMat, bias: DMat, act: Act) extend
   def initAgg(msg: Array[Double], w: Double): Agg = Pooled(msg, w)
 
   def applyNode(h: Array[Double], agg: Agg): Array[Double] = {
-    val pooled: Pooled = agg match {
-      case p: Pooled  => p
-      case u: Unioned => Agg.poolOf(u)
-      case _          => Pooled(new Array[Double](inDim), 0.0)
+    val mean = agg match {
+      case Pooled(sum, wsum) => if (wsum == 0.0) new Array[Double](inDim) else sum.map(_ / wsum)
+      case EmptyAgg          => new Array[Double](inDim)
+      case other             => throw new IllegalStateException(s"SAGE cannot consume ${other.getClass.getSimpleName}")
     }
-    val mean =
-      if (pooled.wsum == 0.0) new Array[Double](inDim)
-      else pooled.sum.map(_ / pooled.wsum)
     val out = VecOps.vecMat(h, wSelf)
     VecOps.addInto(out, VecOps.vecMat(mean, wNbr))
     VecOps.addInto(out, bias.a)

@@ -6,7 +6,7 @@ import repro.batch.{BatchBackend, ShadowNodes}
 import repro.batch.BatchBackend.BatchOpts
 import repro.core.Models
 import repro.graphgen.GraphGen
-import repro.metrics.SparkCost
+import repro.metrics.{Cost, SparkCost}
 
 /** Strategy studies backing the paper's Figs. 9–13 (figures are out of
   * scope; the load-balancing effect is reported as shuffle-traffic and
@@ -28,11 +28,36 @@ object StrategiesHarness {
 
   final case class Config(nNodes: Long = 20000, avgDeg: Double = 15, numWorkers: Int = 200)
 
-  private def pct(before: Long, after: Long): String =
-    f"${100.0 * (before - after) / math.max(1L, before)}%.1f%%"
+  /** What the studies measured: `pg*` on the in-skew graph, the rest on the
+    * out-skew graph (`base` and `bc` both without the combiner).
+    */
+  final case class Report(cfg: Config, inEdges: Long, pgOff: Cost, pgOn: Cost,
+                          outEdges: Long, threshold: Long, hubEdges: Long, base: Cost, bc: Cost,
+                          hubs: Long, mirrors: Long, maxOutBefore: Long, maxOutAfterSplit: Long) {
+    def pgRecordsCut: Double = cut(pgOff.shuffleWriteRecords, pgOn.shuffleWriteRecords)
+    /** Cuts of broadcast shuffle bytes and records. */
+    def bcCuts: Seq[Double] = Seq(cut(base.shuffleWriteBytes, bc.shuffleWriteBytes),
+      cut(base.shuffleWriteRecords, bc.shuffleWriteRecords))
 
-  def run(spark: SparkSession, cfg: Config = Config()): String = {
-    val sb = new StringBuilder
+    def render: String =
+      s"partial-gather (in-skew graph, ${cfg.nNodes} nodes, $inEdges edges):\n" +
+        s"  shuffle write records: ${vs("off", "on", pgOff.shuffleWriteRecords, pgOn.shuffleWriteRecords)}\n" +
+        s"  shuffle write bytes:   ${vs("off", "on", pgOff.shuffleWriteBytes, pgOn.shuffleWriteBytes)}\n" +
+        s"\nout-skew graph: $outEdges edges, max out-degree $maxOutBefore, hub threshold $threshold " +
+        s"(lambda=${ShadowNodes.Lambda}, simulated workers=${cfg.numWorkers}), hub edges=$hubEdges\n" +
+        s"broadcast: shuffle write bytes ${vs("base", "bc", base.shuffleWriteBytes, bc.shuffleWriteBytes)}; " +
+        s"records ${vs("base", "bc", base.shuffleWriteRecords, bc.shuffleWriteRecords)}\n" +
+        s"shadow-nodes: hubs=$hubs mirrors=$mirrors, " +
+        s"max out-degree $maxOutBefore -> $maxOutAfterSplit (threshold $threshold)\n"
+  }
+
+  /** Percentage by which `after` undercuts `before`. */
+  private def cut(before: Long, after: Long): Double = 100.0 * (before - after) / math.max(1L, before)
+
+  private def vs(a: String, b: String, before: Long, after: Long): String =
+    f"$a=$before $b=$after (reduction ${cut(before, after)}%.1f%%)"
+
+  def run(spark: SparkSession, cfg: Config = Config()): Report = {
     val model = Models.sage(Seq(16, 16))
 
     // --- partial-gather: in-degree power law ---
@@ -46,11 +71,7 @@ object StrategiesHarness {
     val (_, pgOn) = SparkCost.measure(spark, "strat-pg-on") {
       BatchBackend.run(spark, inNodes, inEdges, model, BatchOpts(partialGather = true)).count()
     }
-    sb ++= s"partial-gather (in-skew graph, ${cfg.nNodes} nodes, ${inEdges.count()} edges):\n"
-    sb ++= s"  shuffle write records: off=${pgOff.shuffleWriteRecords} on=${pgOn.shuffleWriteRecords} " +
-      s"(reduction ${pct(pgOff.shuffleWriteRecords, pgOn.shuffleWriteRecords)})\n"
-    sb ++= s"  shuffle write bytes:   off=${pgOff.shuffleWriteBytes} on=${pgOn.shuffleWriteBytes} " +
-      s"(reduction ${pct(pgOff.shuffleWriteBytes, pgOn.shuffleWriteBytes)})\n"
+    val nInEdges = inEdges.count()
     inNodes.unpersist(); inEdges.unpersist()
 
     // --- broadcast + shadow-nodes: out-degree power law (heavier tail) ---
@@ -65,8 +86,6 @@ object StrategiesHarness {
       val hubs = outEdges.groupBy("src").count().filter(col("count") > thr)
       outEdges.join(hubs.select(col("src").as("h")), outEdges("src") === col("h")).count()
     }
-    sb ++= s"\nout-skew graph: $totalE edges, max out-degree $maxOut, hub threshold $thr " +
-      s"(lambda=0.1, simulated workers=${cfg.numWorkers}), hub edges=$hubEdgeCount\n"
 
     val noCombiner = BatchOpts(partialGather = false, numWorkers = cfg.numWorkers)
     val (_, base) = SparkCost.measure(spark, "strat-base") {
@@ -76,15 +95,11 @@ object StrategiesHarness {
       BatchBackend.run(spark, outNodes, outEdges, model,
         noCombiner.copy(broadcastHubs = true)).count()
     }
-    sb ++= s"broadcast: shuffle write bytes base=${base.shuffleWriteBytes} bc=${bc.shuffleWriteBytes} " +
-      s"(reduction ${pct(base.shuffleWriteBytes, bc.shuffleWriteBytes)}); " +
-      s"records base=${base.shuffleWriteRecords} bc=${bc.shuffleWriteRecords} " +
-      s"(reduction ${pct(base.shuffleWriteRecords, bc.shuffleWriteRecords)})\n"
 
     val shadowed = ShadowNodes.transform(spark, outNodes, outEdges, thr)
-    sb ++= s"shadow-nodes: hubs=${shadowed.nHubs} mirrors=${shadowed.nMirrors}, " +
-      s"max out-degree $maxOut -> ${shadowed.maxOutAfterSplit} (threshold $thr)\n"
+    val report = Report(cfg, nInEdges, pgOff, pgOn, totalE, thr, hubEdgeCount, base, bc,
+      shadowed.nHubs, shadowed.nMirrors, maxOut, shadowed.maxOutAfterSplit)
     outNodes.unpersist(); outEdges.unpersist()
-    sb.toString
+    report
   }
 }

@@ -9,9 +9,11 @@ import repro.core._
   *
   * Graph partition: GraphX hash-partitions vertices (the paper's `mod N`)
   * and each vertex keeps its state plus out-edges; one GNN layer completes
-  * per superstep. The combiner (`mergeMsg`) implements the paper's
-  * partial-gather: for associative layers messages are reduced as they are
-  * merged; for GAT they are unioned and reduced in `apply_node`.
+  * per superstep. Each message is `initAgg(applyEdge(payload, w), w)`, and
+  * GraphX always merges messages inside each edge partition (`mergeMsg`),
+  * which is the paper's partial-gather: for associative layers messages are
+  * reduced as they are merged; for GAT they are unioned and reduced in
+  * `apply_node`.
   *
   * A superstep is one `aggregateMessages` round over a fixed edge table,
   * then a `leftJoin` of the messages onto the embeddings. The embeddings stay
@@ -28,8 +30,6 @@ import repro.core._
   */
 object PregelBackend {
 
-  final case class PregelOpts(partialGather: Boolean = true)
-
   /** GraphX calls `mergeMsg(accumulated, incoming)`. The incoming message is
     * passed to [[Agg.merge]] as the left operand, so a [[Unioned]] aggregate
     * grows in O(1) per message.
@@ -37,8 +37,7 @@ object PregelBackend {
   private val mergeMsg: (Agg, Agg) => Agg = (acc, msg) => Agg.merge(msg, acc)
 
   /** Full-graph inference; returns DataFrame(id LONG, h ARRAY&lt;DOUBLE&gt;). */
-  def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
-          opts: PregelOpts = PregelOpts()): DataFrame = {
+  def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel): DataFrame = {
     val verts = nodes.select("id", "feat").rdd
       .map(r => (r.getLong(0), r.getSeq[Double](1).toArray))
     val edgeRdd = edges.select("src", "dst", "w").rdd
@@ -47,13 +46,10 @@ object PregelBackend {
     val graph = Graph(verts, edgeRdd)
     var h = graph.vertices
     model.layers.foreach { layer =>
-      val pg = opts.partialGather && layer.partialGather
       val payloads = h.mapValues(x => if (x == null) null else layer.scatterPayload(x)).cache()
       val msgs = GraphImpl.fromExistingRDDs(payloads, graph.edges).aggregateMessages[Agg](
-        ctx => if (ctx.srcAttr != null) {
-          val m = layer.applyEdge(ctx.srcAttr, ctx.attr)
-          ctx.sendToDst(if (pg) layer.initAgg(m, ctx.attr) else Unioned(List((m, ctx.attr))))
-        },
+        ctx => if (ctx.srcAttr != null)
+          ctx.sendToDst(layer.initAgg(layer.applyEdge(ctx.srcAttr, ctx.attr), ctx.attr)),
         mergeMsg, TripletFields.Src)
       val next = h.leftJoin(msgs)((_, x, agg) =>
         if (x == null) null else layer.applyNode(x, agg.getOrElse(EmptyAgg))).cache()

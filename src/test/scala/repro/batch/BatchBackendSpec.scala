@@ -97,6 +97,19 @@ class BatchBackendSpec extends SparkSpec {
     }
   }
 
+  test("the node table's partition count changes only the combiner's summation order") {
+    // the combiner sums in partition order, so runs agree only up to float reassociation
+    val tol = 1e-8
+    val runs = Seq(1, 7).map { n =>
+      val out = BatchBackend.run(spark, fix.nodes.repartition(n), fix.edges, sage2, BatchOpts(partialGather = true))
+      assertMatchesLocal(out, fix.local, fix.reference(sage2), tol)
+      repro.BackendTestUtil.collectH(out)
+    }
+    runs(0).foreach { case (id, h) =>
+      h.zip(runs(1)(id)).foreach { case (x, y) => assert(math.abs(x - y) < tol, s"vertex $id") }
+    }
+  }
+
   test("power-law in-degree graph with partial-gather stays exact") {
     val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 8, inSkew = true, seed = 70L))
     val m = Models.sage(Seq(16, 8, 4))

@@ -17,7 +17,7 @@ object AggProps extends Properties("Agg") {
   private val genUnion: Gen[Unioned] = for {
     n <- Gen.choose(1, 4)
     vs <- Gen.listOfN(n, Gen.choose(-50, 50))
-  } yield Unioned(vs.map(v => (Array(v.toDouble), 1.0)))
+  } yield Unioned(vs.map(v => Array(v.toDouble)))
 
   private def eqPooled(x: Agg, y: Agg): Boolean = (x, y) match {
     case (Pooled(s1, w1), Pooled(s2, w2)) => s1.toSeq == s2.toSeq && w1 == w2
@@ -43,12 +43,19 @@ object AggProps extends Properties("Agg") {
 
   property("union merge preserves the multiset") = Prop.forAll(genUnion, genUnion) { (a, b) =>
     val m = Agg.merge(a, b).asInstanceOf[Unioned]
-    m.msgs.map(_._1(0)).sorted == (a.msgs ++ b.msgs).map(_._1(0)).sorted
+    m.msgs.map(_(0)).sorted == (a.msgs ++ b.msgs).map(_(0)).sorted
   }
 
-  property("poolOf(union of singletons) equals merged pools") = Prop.forAll(genUnion) { u =>
-    val viaPool = Agg.poolOf(u)
-    val merged = u.msgs.map { case (m, w) => Pooled(m, w): Agg }.reduce(Agg.merge).asInstanceOf[Pooled]
-    viaPool.sum.toSeq == merged.sum.toSeq && viaPool.wsum == merged.wsum
+  // Named after the removed `poolOf`; now checks partial-gather exactness:
+  // folding singleton messages one at a time, as a
+  // receiver does, equals merging per-partition pre-folds, as combiners do,
+  // for any assignment of messages to partitions.
+  private val genSplit: Gen[List[(Pooled, Int)]] =
+    Gen.nonEmptyListOf(Gen.zip(genPooled, Gen.choose(0, 3)))
+
+  property("poolOf(union of singletons) equals merged pools") = Prop.forAll(genSplit) { split =>
+    val receiver = split.foldLeft(EmptyAgg: Agg) { case (acc, (m, _)) => Agg.merge(m, acc) }
+    val preFolds = split.groupBy(_._2).values.map(_.map(_._1: Agg).reduce(Agg.merge))
+    eqPooled(receiver, preFolds.reduce(Agg.merge))
   }
 }

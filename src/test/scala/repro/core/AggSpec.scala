@@ -16,7 +16,7 @@ class AggSpec extends AnyFunSuite {
   // Named after the removed keepalive `Marker`: a vertex that receives
   // nothing applies EmptyAgg, which must merge away from unions too.
   test("Marker merges away") {
-    val u = Unioned(List((Array(1.0), 1.0)))
+    val u = Unioned(List(Array(1.0)))
     assert(Agg.merge(EmptyAgg, u) eq u)
     assert(Agg.merge(u, EmptyAgg) eq u)
   }
@@ -34,22 +34,32 @@ class AggSpec extends AnyFunSuite {
   }
 
   test("Unioned merge concatenates multisets") {
-    val a = Unioned(List((Array(1.0), 1.0)))
-    val b = Unioned(List((Array(2.0), 1.0), (Array(3.0), 1.0)))
+    val a = Unioned(List(Array(1.0)))
+    val b = Unioned(List(Array(2.0), Array(3.0)))
     Agg.merge(a, b) match {
-      case Unioned(ms) => assert(ms.map(_._1(0)) == List(1.0, 2.0, 3.0))
+      case Unioned(ms) => assert(ms.map(_(0)) == List(1.0, 2.0, 3.0))
       case other       => fail(s"unexpected $other")
     }
   }
 
   test("mixing Pooled and Unioned is an error") {
-    intercept[IllegalStateException](Agg.merge(pooled(1), Unioned(List((Array(1.0), 1.0)))))
+    intercept[IllegalStateException](Agg.merge(pooled(1), Unioned(List(Array(1.0)))))
   }
 
+  // Named after the removed `poolOf`; now checks what partial-gather
+  // exactness rests on. A receiver that
+  // folds singleton messages one at a time gets the same pool as one that
+  // merges the combiners' per-partition pre-folds.
   test("poolOf folds a union to the same pool") {
-    val u = Unioned(List((Array(1.0, 2.0), 1.5), (Array(3.0, 4.0), 0.5)))
-    val p = Agg.poolOf(u)
-    assert(p.sum.toSeq == Seq(4.0, 6.0) && p.wsum == 2.0)
+    val rng = new java.util.Random(5)
+    (0 until 50).foreach { _ =>
+      val msgs = Seq.fill(1 + rng.nextInt(12))(
+        Pooled(Array.fill(2)(rng.nextInt(100).toDouble - 50), 1 + rng.nextInt(4).toDouble): Agg)
+      val receiver = msgs.foldLeft(EmptyAgg: Agg)((acc, m) => Agg.merge(m, acc)).asInstanceOf[Pooled]
+      val parts = msgs.groupBy(_ => rng.nextInt(4)).values
+      val combined = parts.map(_.reduce(Agg.merge)).reduce(Agg.merge).asInstanceOf[Pooled]
+      assert(receiver.sum.toSeq == combined.sum.toSeq && receiver.wsum == combined.wsum)
+    }
   }
 
   test("merge is commutative for Pooled (up to fp equality on these values)") {
@@ -75,9 +85,9 @@ class AggSpec extends AnyFunSuite {
   }
 
   test("union preserves multiset under any merge order") {
-    def u(v: Double) = Unioned(List((Array(v), 1.0)))
+    def u(v: Double) = Unioned(List(Array(v)))
     val l = Agg.merge(Agg.merge(u(1), u(2)), u(3)).asInstanceOf[Unioned]
     val r = Agg.merge(u(1), Agg.merge(u(2), u(3))).asInstanceOf[Unioned]
-    assert(l.msgs.map(_._1(0)).sorted == r.msgs.map(_._1(0)).sorted)
+    assert(l.msgs.map(_(0)).sorted == r.msgs.map(_(0)).sorted)
   }
 }

@@ -41,8 +41,8 @@ class GatLayerSpec extends AnyFunSuite {
 
   test("initAgg unions") {
     layer().initAgg(Array(1.0), 2.0) match {
-      case Unioned(List((m, w))) => assert(m.toSeq == Seq(1.0) && w == 2.0)
-      case other                 => fail(s"$other")
+      case Unioned(List(m)) => assert(m.toSeq == Seq(1.0))
+      case other            => fail(s"$other")
     }
   }
 
@@ -63,7 +63,7 @@ class GatLayerSpec extends AnyFunSuite {
     val l = layer(heads = 1, combine = "mean")
     val h = Array(0.1, 0.2, 0.3)
     val msgs = (1 to 5).map(i => l.scatterPayload(Array(i * 0.1, -i * 0.1, 0.05 * i))).toList
-    val out = l.applyNode(h, Unioned(msgs.map(m => (m, 1.0))))
+    val out = l.applyNode(h, Unioned(msgs))
     // output must lie within the per-coordinate min/max of candidate Wh's
     val candidates = (l.scatterPayload(h) :: msgs).map(_.take(2))
     (0 until 2).foreach { j =>
@@ -78,7 +78,7 @@ class GatLayerSpec extends AnyFunSuite {
     val h = Array(1.0, 1.0, 1.0)
     val p = l.scatterPayload(h)
     // all messages equal the self payload → output = Wh per head
-    val out = l.applyNode(h, Unioned(List((p.clone(), 1.0), (p.clone(), 1.0))))
+    val out = l.applyNode(h, Unioned(List(p.clone(), p.clone())))
     val expect = Array(VecOps.vecMat(h, l.w(0)), VecOps.vecMat(h, l.w(1))).flatten
     out.zip(expect).foreach { case (a, e) => assert(math.abs(a - e) < 1e-10) }
   }
@@ -104,8 +104,8 @@ class GatLayerSpec extends AnyFunSuite {
     val h = Array(0.5, 0.5, 0.5)
     val m1 = l.scatterPayload(Array(2.0, 0.0, 0.0))
     val m2 = l.scatterPayload(Array(0.0, 2.0, 0.0))
-    val out1 = l.applyNode(h, Unioned(List((m1, 1.0), (m2, 1.0))))
-    val out2 = l.applyNode(h, Unioned(List((m2, 1.0), (m1, 1.0))))
+    val out1 = l.applyNode(h, Unioned(List(m1, m2)))
+    val out2 = l.applyNode(h, Unioned(List(m2, m1)))
     // message order must not matter
     out1.zip(out2).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
   }

@@ -46,13 +46,11 @@ class SageLayerSpec extends AnyFunSuite {
     assert(out.toSeq == Seq(7.0, -1.0))
   }
 
+  // Named after the removed partial-gather-off form: SAGE messages are
+  // always pooled, and a union is an error, not an empty neighbourhood.
   test("applyNode accepts a Unioned agg (partial-gather disabled path)") {
-    val m1 = idLayer.applyEdge(Array(2.0, 0.0), 1.0)
-    val m2 = idLayer.applyEdge(Array(4.0, 8.0), 3.0)
-    val pooled = Agg.merge(idLayer.initAgg(m1, 1.0), idLayer.initAgg(m2, 3.0))
-    val unioned = Unioned(List((m1, 1.0), (m2, 3.0)))
-    val h = Array(1.0, 2.0)
-    assert(idLayer.applyNode(h, pooled).toSeq == idLayer.applyNode(h, unioned).toSeq)
+    val unioned = Unioned(List(Array(2.0, 0.0), Array(4.0, 8.0)))
+    intercept[IllegalStateException](idLayer.applyNode(Array(1.0, 2.0), unioned))
   }
 
   test("bias and activation are applied") {

@@ -1,12 +1,12 @@
 package repro.pregel
 
-import repro.{BackendTestUtil, SparkSpec}
+import repro.{BackendTestUtil, GraphFixture, SparkSpec}
 import repro.BackendTestUtil.{assertMatchesLocal, fixture}
-import repro.batch.BatchBackend
+import repro.batch.{BatchBackend, ShadowNodes}
+import repro.batch.BatchBackend.BatchOpts
 import repro.core.{Agg, GasLayer, GnnModel, LayerSig, Models}
 import repro.graphgen.{GraphGen, GraphSpec}
 import repro.metrics.SparkCost
-import repro.pregel.PregelBackend.PregelOpts
 
 /** Delegates to `inner` and counts the vertices whose payload it computes. */
 private final case class CountingPayload(inner: GasLayer, calls: org.apache.spark.util.LongAccumulator)
@@ -27,6 +27,23 @@ class PregelBackendSpec extends SparkSpec {
     nClasses = 3, homophily = 0.3, seed = 55L, wMin = 0.5, wMax = 1.5))
   private lazy val sage2 = Models.sage(Seq(6, 4, 3))
   private lazy val gat2 = Models.gat(Seq(6, 4, 3), heads = 2)
+  private lazy val inSkew = fixture(spark, GraphGen.powerLaw(400, avgDeg = 6, inSkew = true, seed = 68L))
+
+  /** Pregel, whose combiner always runs, against MR with the combiner off:
+    * the same messages merged in different places give `h` within 1e-9 and
+    * the same predictions.
+    */
+  private def assertAgreesWithMrNoCombiner(fz: GraphFixture, m: GnnModel): Unit = {
+    val a = BackendTestUtil.collectH(PregelBackend.run(spark, fz.nodes, fz.edges, m))
+    val b = BackendTestUtil.collectH(
+      BatchBackend.run(spark, fz.nodes, fz.edges, m, BatchOpts(partialGather = false)))
+    assert(a.keySet == b.keySet)
+    a.foreach { case (id, h) =>
+      val diff = h.zip(b(id)).map { case (x, y) => math.abs(x - y) }.max
+      assert(diff < 1e-9, s"vertex $id differs by $diff")
+      assert(m.predict(h) == m.predict(b(id)), s"vertex $id changes class")
+    }
+  }
 
   // The next two names are those of the removed native `graph.pregel` mode;
   // the one path now checks them on the power-law graphs that mode was
@@ -42,9 +59,9 @@ class PregelBackendSpec extends SparkSpec {
   }
 
   test("GAT 2-layer: native Pregel matches (union aggregation, attention in apply_node)") {
-    val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 6, inSkew = true, seed = 68L))
     val m = Models.gat(Seq(16, 8, 4), heads = 2)
-    assertMatchesLocal(PregelBackend.run(spark, fz.nodes, fz.edges, m), fz.local, fz.reference(m), tol = 1e-7)
+    assertMatchesLocal(PregelBackend.run(spark, inSkew.nodes, inSkew.edges, m),
+      inSkew.local, inSkew.reference(m), tol = 1e-7)
   }
 
   test("GAT 2-layer: loop mode matches") {
@@ -52,10 +69,10 @@ class PregelBackendSpec extends SparkSpec {
       fix.local, fix.reference(gat2), tol = 1e-7)
   }
 
+  // Named, like "native and loop modes…" below, after the removed Pregel
+  // partial-gather switch: only MR can skip the combiner now.
   test("partial-gather off (messages travel unioned) is exact for SAGE") {
-    assertMatchesLocal(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(partialGather = false)),
-      fix.local, fix.reference(sage2))
+    assertAgreesWithMrNoCombiner(inSkew, Models.sage(Seq(16, 8, 4)))
   }
 
   // The payload is computed once per vertex and layer, never per edge, and
@@ -68,19 +85,8 @@ class PregelBackendSpec extends SparkSpec {
     assert(calls.value == gat2.layers.size.toLong * fix.local.n)
   }
 
-  // Retargeted from the native-vs-loop comparison: combined (`Pooled`) and
-  // unioned messages give the same predictions on the one path.
   test("native and loop modes agree bit-for-bit on argmax predictions") {
-    val a = BackendTestUtil.collectH(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(partialGather = true)))
-    val b = BackendTestUtil.collectH(
-      PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(partialGather = false)))
-    assert(a.keySet == b.keySet)
-    a.foreach { case (id, h) =>
-      val diff = h.zip(b(id)).map { case (x, y) => math.abs(x - y) }.max
-      assert(diff < 1e-9, s"vertex $id differs by $diff")
-      assert(sage2.predict(h) == sage2.predict(b(id)), s"vertex $id changes class")
-    }
+    assertAgreesWithMrNoCombiner(inSkew, Models.gat(Seq(16, 8, 4), heads = 2))
   }
 
   test("1-layer and 3-layer model depths both work") {
@@ -123,13 +129,17 @@ class PregelBackendSpec extends SparkSpec {
     import spark.implicits._
     val ids = fix.local.ids
     val ghost = ids.max + 1
-    val bad = Seq((ghost, ids(0), 1.0), (ids(1), ghost + 1, 1.0)).toDF("src", "dst", "w")
+    // the ghost sender is a hub, so broadcast must drop its edges too
+    val ghostOut = 40
+    val bad = (ids.take(ghostOut).toSeq.map(d => (ghost, d, 1.0)) :+ ((ids(1), ghost + 1, 1.0)))
+      .toDF("src", "dst", "w")
     val edges = fix.edges.select("src", "dst", "w").union(bad)
+    assert(ghostOut > ShadowNodes.threshold(edges.count(), 8), "the ghost is no hub — weak test")
     Seq(sage2 -> 1e-8, gat2 -> 1e-7).foreach { case (m, tol) =>
       val pregel = PregelBackend.run(spark, fix.nodes, edges, m)
       val mr = BatchBackend.run(spark, fix.nodes, edges, m)
-      assertMatchesLocal(pregel, fix.local, fix.reference(m), tol)
-      assertMatchesLocal(mr, fix.local, fix.reference(m), tol)
+      val bcast = BatchBackend.run(spark, fix.nodes, edges, m, BatchOpts(broadcastHubs = true, numWorkers = 8))
+      Seq(pregel, mr, bcast).foreach(assertMatchesLocal(_, fix.local, fix.reference(m), tol))
       val (a, b) = (BackendTestUtil.collectH(pregel), BackendTestUtil.collectH(mr))
       a.foreach { case (id, h) =>
         assert(h.zip(b(id)).forall { case (x, y) => math.abs(x - y) < tol }, s"backends differ at $id")
